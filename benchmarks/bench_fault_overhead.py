@@ -1,8 +1,8 @@
 """Fault-harness overhead: disabled ``fault_point`` vs. no hook at all.
 
 The injection hooks are compiled into hot paths permanently — simulator
-allocation, every host/device transfer, every kernel launch, pool
-submission, scheduler workers — on the argument that the disabled path
+allocation, every host/device transfer, every kernel launch, tile
+thread submission, scheduler workers — on the argument that the disabled path
 (one module-global read plus an ``is None`` test) is free. This bench
 holds that argument to a number: the same simulated-engine mine is
 timed with the hooks stubbed out entirely and with the real disabled
@@ -13,7 +13,7 @@ must stay under 2%.
 import pathlib
 import time
 
-import repro.core.parallel as parallel_mod
+import repro.core.support as support_mod
 import repro.gpusim.kernel as kernel_mod
 import repro.gpusim.memory as memory_mod
 import repro.service.scheduler as scheduler_mod
@@ -29,7 +29,7 @@ MIN_SUPPORT = 0.12
 ROUNDS = 7
 OVERHEAD_BUDGET = 0.02
 
-HOOKED_MODULES = (memory_mod, kernel_mod, parallel_mod, scheduler_mod)
+HOOKED_MODULES = (memory_mod, kernel_mod, support_mod, scheduler_mod)
 
 
 def _timed(fn):

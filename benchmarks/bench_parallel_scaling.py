@@ -1,16 +1,17 @@
-"""Worker-count scaling of the parallel shared-memory counting engine.
+"""Worker-count scaling of ``engine="parallel"``.
 
 The paper's scaling argument (Section V) is that support counting is
 embarrassingly data-parallel: more lanes, proportionally more counted
 candidates per second. This bench replays that argument on host cores
-with :class:`~repro.core.parallel.ParallelEngine`: one synthetic
-T40I10D100K-style matrix in shared memory, the same candidate buffer
-counted at 1, 2, and 4 workers.
+with the parallel engine, whose worker threads count tiles of the
+candidate buffer against one shared bitset table: one synthetic
+T40I10D100K-style matrix, the same candidate buffer counted at 1, 2,
+and 4 workers.
 
 The measurement deliberately isolates the engine (not end-to-end
 mining): candidate generation in the trie is serial host work, so a
 full mining run would be Amdahl-bound and say nothing about the
-counting kernel the worker pool actually parallelizes.
+counting kernel the worker threads actually parallelize.
 
 The >1.5x-at-4-workers assertion only runs when the host exposes at
 least 4 usable cores; on smaller machines the bench still verifies
@@ -28,8 +29,7 @@ from repro.bench import render_table
 from repro.bitset import BitsetMatrix
 from repro.core.config import GPAprioriConfig
 from repro.core.itemset import RunMetrics
-from repro.core.parallel import ParallelEngine
-from repro.core.support import VectorizedEngine
+from repro.core.support import VectorizedEngine, make_engine
 from repro.datasets import dataset_analog
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -58,19 +58,19 @@ def workload():
 
 def _time_engine(matrix, pairs, workers):
     """Best-of-N seconds for one counting pass, plus its supports."""
-    cfg = GPAprioriConfig(engine="parallel", workers=workers)
-    eng = ParallelEngine(cfg, RunMetrics())
-    eng.min_parallel = 1
+    eng = make_engine(GPAprioriConfig(engine="parallel", workers=workers), RunMetrics())
     eng.setup(matrix)
     try:
-        supports = eng.count_complete(pairs)  # warm the pool before timing
+        supports = eng.count_complete(pairs)  # start the threads before timing
         best = float("inf")
         for _ in range(REPEATS):
             t0 = time.perf_counter()
             got = eng.count_complete(pairs)
             best = min(best, time.perf_counter() - t0)
         assert np.array_equal(got, supports)
-        return best, supports, eng.in_process
+        counters = eng.metrics.counters
+        threaded = counters.get("parallel.tiles") and not counters.get("parallel.pool_failures")
+        return best, supports, "threads" if threaded else "in-process"
     finally:
         eng.close()
 
@@ -84,13 +84,13 @@ def curve(workload):
     out = {}
     rows = []
     for workers in WORKER_COUNTS:
-        seconds, supports, in_process = _time_engine(matrix, pairs, workers)
+        seconds, supports, mode = _time_engine(matrix, pairs, workers)
         assert np.array_equal(supports, want), f"workers={workers} changed supports"
         out[workers] = seconds
         rows.append(
             (
                 str(workers),
-                "in-process" if in_process else "pool",
+                mode,
                 f"{seconds * 1e3:.2f} ms",
                 f"{out[1] / seconds:.2f}x",
                 f"{N_CANDIDATES / seconds:,.0f}",

@@ -26,10 +26,10 @@ an item stores smaller as a tid-list iff its support is below
 computes that, and ``layout="auto"`` additionally falls back to the
 all-dense layout whenever hybridizing would not actually save bytes.
 
-Everything here is NumPy-level host code shared by the vectorized and
-parallel engines and by the tests that pin the simulated kernels; the
-simulated engine has genuine generator kernels over the same device
-arrays (see :mod:`repro.core.kernels`).
+Everything here is NumPy-level host code used by the vectorized engine
+and by the tests that pin the simulated kernels; the simulated engine
+has genuine generator kernels over the same device arrays (see
+:mod:`repro.core.kernels`).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from ..errors import BitsetError
 from .bitset import WORD_BITS, BitsetMatrix, _tail_mask, words_for
-from .ops import popcount_words, tile_bounds
+from .ops import count_rows_into, popcount_words, run_tiles, tile_bounds
 
 __all__ = [
     "HybridLayout",
@@ -349,7 +349,7 @@ class HybridLayout:
         )
 
 
-# -- mixed-mode counting (shared by vectorized + parallel engines) ------------
+# -- mixed-mode counting ------------------------------------------------------
 
 
 def _full_block(layout: HybridLayout, n_rows: int) -> np.ndarray:
@@ -378,7 +378,7 @@ def _sparse_chain(
     return acc
 
 
-def hybrid_supports(layout: HybridLayout, candidates: np.ndarray) -> np.ndarray:
+def hybrid_supports(layout: HybridLayout, candidates: np.ndarray, runner=None) -> np.ndarray:
     """Mixed-mode support counts for ``(n, k)`` candidate itemsets.
 
     Per candidate: AND its dense members' rows into a tail-masked
@@ -386,7 +386,8 @@ def hybrid_supports(layout: HybridLayout, candidates: np.ndarray) -> np.ndarray:
     either popcount the block (no sparse members) or probe the
     surviving tids into the block and count hits. A candidate with no
     dense members probes into the neutral all-ones row, so the pure
-    tid-list path falls out of the same code.
+    tid-list path falls out of the same code. A ``runner`` counts the
+    tiles on threads.
 
     Returns int64 supports, bit-identical to the all-dense
     :func:`~repro.bitset.ops.support_many`.
@@ -401,8 +402,29 @@ def hybrid_supports(layout: HybridLayout, candidates: np.ndarray) -> np.ndarray:
     if n == 0:
         return supports
     rows = layout.row_map[candidates]
-    row_bytes = max(layout.n_words * 4, 1)
-    for start, stop in tile_bounds(n, row_bytes):
+    if runner is not None:
+        neutral = _full_block(layout, 1)[0]
+
+        def count(start, stop, block, operand, bits):
+            tile_rows = rows[start:stop]
+            block[...] = neutral
+            for j in range(k):
+                sel = tile_rows[:, j] >= 0
+                if sel.any():
+                    # sparse members gather row 0 and are reset to the
+                    # neutral row, so the AND needs no masked temporaries
+                    dense = np.where(sel, tile_rows[:, j], 0)
+                    np.take(layout.dense_words, dense, axis=0, out=operand, mode="clip")
+                    operand[~sel] = neutral
+                    np.bitwise_and(block, operand, out=block)
+            counts = supports[start:stop]
+            count_rows_into(block, bits, counts)
+            for i in np.nonzero((tile_rows < 0).any(axis=1))[0]:
+                counts[i] = _probe(layout, block[i], tile_rows[i])
+
+        run_tiles(n, layout.n_words, count, (np.uint32, np.uint32, np.uint8), runner)
+        return supports
+    for start, stop in tile_bounds(n, max(layout.n_words * 4, 1)):
         tile_rows = rows[start:stop]
         block = _full_block(layout, stop - start)
         for j in range(k):
@@ -412,33 +434,40 @@ def hybrid_supports(layout: HybridLayout, candidates: np.ndarray) -> np.ndarray:
         any_sparse = (tile_rows < 0).any(axis=1)
         counts = popcount_words(block).sum(axis=1).astype(np.int64)
         for i in np.nonzero(any_sparse)[0]:
-            slots = [-int(r) - 1 for r in tile_rows[i] if r < 0]
-            tids = _sparse_chain(layout, slots)
-            if tids.size == 0:
-                counts[i] = 0
-                continue
-            probe = (
-                block[i, tids // WORD_BITS] >> (tids % WORD_BITS).astype(np.uint32)
-            ) & 1
-            counts[i] = int(probe.sum())
+            counts[i] = _probe(layout, block[i], tile_rows[i])
         supports[start:stop] = counts
     return supports
 
 
-def densify_rows(layout: HybridLayout, items: np.ndarray) -> np.ndarray:
+def _probe(layout: HybridLayout, block_row: np.ndarray, entries) -> int:
+    """Count one candidate's sparse-member tids set in its dense row."""
+    tids = _sparse_chain(layout, [-int(r) - 1 for r in entries if r < 0])
+    hits = (block_row[tids // WORD_BITS] >> (tids % WORD_BITS).astype(np.uint32)) & 1
+    return int(hits.sum())
+
+
+def densify_rows(
+    layout: HybridLayout, items: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Materialize bitset rows for ``items`` whichever side they live on.
 
     Dense items gather their block row; sparse items scatter their
-    tid-list into a fresh zeroed row. Used to seed the (always dense)
+    tid-list into a zeroed row. Used to seed the (always dense)
     prefix-row cache at the first equivalence-class extend generation.
+    Fills and returns ``out`` when given.
     """
     items = np.ascontiguousarray(items)
-    out = np.zeros((items.size, layout.n_words), dtype=np.uint32)
+    if out is None:
+        out = np.empty((items.size, layout.n_words), dtype=np.uint32)
     entries = layout.row_map[items]
-    dense_sel = entries >= 0
-    if np.any(dense_sel):
-        out[dense_sel] = layout.dense_words[entries[dense_sel]]
-    for i in np.nonzero(~dense_sel)[0]:
+    sparse = entries < 0
+    if layout.n_dense:
+        dense = np.where(sparse, 0, entries)
+        np.take(layout.dense_words, dense, axis=0, out=out, mode="clip")
+        out[sparse] = 0
+    else:
+        out[...] = 0
+    for i in np.nonzero(sparse)[0]:
         slot = -int(entries[i]) - 1
         lo, hi = layout.sparse_offsets[slot], layout.sparse_offsets[slot + 1]
         tids = layout.sparse_tids[lo:hi]
@@ -454,6 +483,7 @@ def hybrid_extend_rows(
     layout: HybridLayout,
     base_rows: Optional[np.ndarray],
     pairs: np.ndarray,
+    runner=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Equivalence-class extend under the hybrid layout.
 
@@ -462,15 +492,33 @@ def hybrid_extend_rows(
     raw *item id*, which may live on either side of the layout — both
     operands are densified on the fly. ``pairs[:, 1]`` is always an
     item id. Returns ``(rows, supports)`` with dense output rows, so
-    the prefix cache built from them is ordinary bitset data.
+    the prefix cache built from them is ordinary bitset data. A
+    ``runner`` fills the rows on threads.
     """
     pairs = np.ascontiguousarray(pairs)
-    if base_rows is None:
-        base = densify_rows(layout, pairs[:, 0])
-    else:
-        base = base_rows[pairs[:, 0]]
-    rows = base & densify_rows(layout, pairs[:, 1])
-    supports = popcount_words(rows).sum(axis=1).astype(np.int64)
+    if runner is None:
+        if base_rows is None:
+            base = densify_rows(layout, pairs[:, 0])
+        else:
+            base = base_rows[pairs[:, 0]]
+        rows = base & densify_rows(layout, pairs[:, 1])
+        supports = popcount_words(rows).sum(axis=1).astype(np.int64)
+        return rows, supports
+    n = pairs.shape[0]
+    rows = np.empty((n, layout.n_words), dtype=np.uint32)
+    supports = np.empty(n, dtype=np.int64)
+
+    def extend(start, stop, operand, bits):
+        tile, out = pairs[start:stop], rows[start:stop]
+        if base_rows is None:
+            densify_rows(layout, tile[:, 0], out)
+        else:
+            np.take(base_rows, tile[:, 0], axis=0, out=out, mode="clip")
+        densify_rows(layout, tile[:, 1], operand)
+        np.bitwise_and(out, operand, out=out)
+        count_rows_into(out, bits, supports[start:stop])
+
+    run_tiles(n, layout.n_words, extend, (np.uint32, np.uint8), runner)
     return rows, supports
 
 

@@ -10,6 +10,7 @@ row-major access.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +26,8 @@ __all__ = [
     "support_of_rows",
     "support_many",
     "support_words",
+    "extend_words",
+    "run_tiles",
     "tile_bounds",
     "TILE_BUDGET_BYTES",
 ]
@@ -111,7 +114,7 @@ def tile_bounds(
     row_bytes)`` block stays within ``budget_bytes`` — the cache-bound
     batching :func:`support_many` has always used — optionally split
     further so at least ``min_tiles`` non-empty tiles come back (the
-    parallel engine's per-worker sharding reuses this exact math).
+    threaded tile loops use this to give every worker a share).
     """
     if n <= 0:
         return []
@@ -123,17 +126,63 @@ def tile_bounds(
     return [(start, min(start + tile, n)) for start in range(0, n, tile)]
 
 
-def support_words(words: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Tile-batched support counting over a raw ``(n_items, n_words)``
-    word array (the validated core of :func:`support_many`).
+def run_tiles(n: int, n_words: int, body, scratch, runner) -> None:
+    """Run ``body(start, stop, *buffers)`` per tile on ``runner``'s
+    threads (:class:`~repro.core.support.TileThreads`). Tiles hold
+    ``TILE_BUDGET_BYTES // n_workers`` bytes; each worker's share of
+    them gets one ``(tile, n_words)`` scratch buffer per dtype in
+    ``scratch``, allocated here, so workers allocate nothing tile-sized
+    (freed tiles would pile up in per-thread malloc arenas)."""
+    n_shares = runner.n_workers
+    bounds = tile_bounds(
+        n, max(n_words * 4, 1), TILE_BUDGET_BYTES // n_shares, min_tiles=n_shares
+    )
+    rows = bounds[0][1] if bounds else 0
 
-    Shared by the vectorized engine (via :func:`support_many`) and the
-    parallel engine's workers, which run it against the same words
-    mapped into :mod:`multiprocessing.shared_memory`; identical inputs
-    produce bit-identical supports on both paths.
-    """
+    def count(tiles, buffers):
+        for start, stop in tiles:
+            body(start, stop, *(buf[: stop - start] for buf in buffers))
+
+    shares = [
+        partial(count, bounds[w::n_shares], [np.empty((rows, n_words), d) for d in scratch])
+        for w in range(min(n_shares, len(bounds)))
+    ]
+    if len(shares) > 1:
+        runner.run(shares, tiles=len(bounds))
+    else:
+        for share in shares:
+            share()
+
+
+def count_rows_into(rows: np.ndarray, bits: np.ndarray, out: np.ndarray) -> None:
+    """Per-row popcount sums of uint32 ``rows`` into ``out``, via uint8 ``bits``."""
+    if _HAS_BITWISE_COUNT:
+        np.bitwise_count(rows, out=bits)
+    else:
+        bits[...] = popcount_words(rows)
+    np.sum(bits, axis=1, dtype=np.int64, out=out)
+
+
+def support_words(words: np.ndarray, candidates: np.ndarray, runner=None) -> np.ndarray:
+    """Tile-batched support counting over a raw ``(n_items, n_words)``
+    word array (the validated core of :func:`support_many`; a
+    ``runner`` counts the tiles on threads, see :func:`run_tiles`)."""
     n, k = candidates.shape
     out = np.empty(n, dtype=np.int64)
+    if runner is not None:
+
+        def count(start, stop, block, operand, bits):
+            tile = candidates[start:stop]
+            # mode="clip" skips take()'s defensive copy of the output;
+            # the caller range-checked the ids
+            np.take(words, tile[:, 0], axis=0, out=block, mode="clip")
+            for j in range(1, k):
+                np.take(words, tile[:, j], axis=0, out=operand, mode="clip")
+                np.bitwise_and(block, operand, out=block)
+            count_rows_into(block, bits, out[start:stop])
+
+        run_tiles(n, words.shape[1], count, (np.uint32, np.uint32, np.uint8), runner)
+        return out
     row_bytes = words.shape[1] * words.dtype.itemsize
     for start, stop in tile_bounds(n, row_bytes):
         block = words[candidates[start:stop, 0]].copy()
@@ -143,9 +192,32 @@ def support_words(words: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return out
 
 
+def extend_words(base: np.ndarray, words: np.ndarray, pairs: np.ndarray, runner=None):
+    """Equivalence-class extend over dense rows: ``(rows, supports)``
+    with ``rows[i] = base[pairs[i, 0]] & words[pairs[i, 1]]``, kept as
+    the next prefix cache (a ``runner`` fills them on threads)."""
+    if runner is None:
+        rows = base[pairs[:, 0]] & words[pairs[:, 1]]
+        return rows, popcount_words(rows).sum(axis=1, dtype=np.int64)
+    n = pairs.shape[0]
+    rows = np.empty((n, words.shape[1]), dtype=np.uint32)
+    supports = np.empty(n, dtype=np.int64)
+
+    def extend(start, stop, operand, bits):
+        tile, out = pairs[start:stop], rows[start:stop]
+        np.take(base, tile[:, 0], axis=0, out=out, mode="clip")
+        np.take(words, tile[:, 1], axis=0, out=operand, mode="clip")
+        np.bitwise_and(out, operand, out=out)
+        count_rows_into(out, bits, supports[start:stop])
+
+    run_tiles(n, words.shape[1], extend, (np.uint32, np.uint8), runner)
+    return rows, supports
+
+
 def support_many(
     matrix: BitsetMatrix,
     candidates: np.ndarray,
+    runner=None,
 ) -> np.ndarray:
     """Batched support counting for a generation of k-candidates.
 
@@ -157,6 +229,8 @@ def support_many(
         ``(n_candidates, k)`` integer array; each row is one candidate's
         item ids. This is the contiguous candidate buffer the host would
         copy to the GPU each generation.
+    runner:
+        Optional worker threads for the tiles (see :func:`run_tiles`).
 
     Returns
     -------
@@ -184,4 +258,4 @@ def support_many(
         raise BitsetError("candidates must have k >= 1 items")
     if candidates.min() < 0 or candidates.max() >= matrix.n_items:
         raise BitsetError("candidate contains item id outside the matrix")
-    return support_words(matrix.words, candidates)
+    return support_words(matrix.words, candidates, runner)

@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for --engine parallel (0 = auto-size)",
+        help="worker threads for --engine parallel (0 = auto-size)",
     )
     p_mine.add_argument(
         "--devices",

@@ -8,12 +8,10 @@
   equivalence-class support-counting plans (Section IV.2 trade-off).
 * :mod:`~repro.core.kernels` — the CUDA-style support-counting kernel
   executed by the :mod:`repro.gpusim` simulator.
-* :mod:`~repro.core.support` — two of the three interchangeable
-  counting engines: ``vectorized`` (NumPy, fast) and ``simulated``
-  (kernel-faithful, for validation).
-* :mod:`~repro.core.parallel` — the third engine: ``parallel``, the
-  vectorized arithmetic sharded over a worker-process pool reading the
-  bitsets from shared memory.
+* :mod:`~repro.core.support` — the interchangeable counting engines:
+  ``vectorized`` (NumPy, fast), ``parallel`` (the vectorized engine
+  with its tiles counted on threads over the shared bitset table) and
+  ``simulated`` (kernel-faithful, for validation).
 * :mod:`~repro.core.sharding` — out-of-core tid-range sharding: a
   :class:`~repro.core.sharding.ShardPlan` sized from a device-memory
   budget and the :class:`~repro.core.sharding.ShardedEngine` that
@@ -26,7 +24,6 @@ from .itemset import Itemset, MiningResult, RunMetrics
 from .config import GPAprioriConfig
 from .plans import CompleteIntersectionPlan, EquivalenceClassPlan, make_plan
 from .support import SimulatedEngine, VectorizedEngine, make_engine
-from .parallel import ParallelEngine
 from .sharding import Shard, ShardPlan, ShardedEngine, slice_matrix
 from .fleet import FleetEngine, FleetPlan
 from .gpapriori import gpapriori_mine
@@ -45,7 +42,6 @@ __all__ = [
     "make_plan",
     "VectorizedEngine",
     "SimulatedEngine",
-    "ParallelEngine",
     "Shard",
     "ShardPlan",
     "ShardedEngine",

@@ -51,9 +51,8 @@ class GPAprioriConfig:
         ``"vectorized"`` — NumPy host execution of the same arithmetic.
         ``"simulated"`` — run the real kernel on :mod:`repro.gpusim`
         thread-by-thread (slow; for validation and access traces).
-        ``"parallel"`` — the vectorized arithmetic fanned out over a
-        pool of worker processes reading the bitset table from
-        :mod:`multiprocessing.shared_memory` (host-side data
+        ``"parallel"`` — the vectorized engine with its tiles counted
+        on worker threads that share the bitset table (host-side data
         parallelism standing in for the GPU's).
         ``"multigpu"`` — a fleet of simulated devices each holding a
         full replica of the vertical table, with every generation's
@@ -62,9 +61,10 @@ class GPAprioriConfig:
         ``plan="complete"``: candidate partitions cannot share the
         equivalence-class prefix cache across devices.
     workers:
-        Worker-process count for the parallel engine. ``0`` (the
-        default) sizes the pool to the host's usable cores (capped at
-        8); ``1`` runs in-process. Ignored by the other engines.
+        Worker-thread count for the parallel engine. ``0`` (the
+        default) sizes it to the host's usable cores (capped at 8);
+        ``1`` counts in the calling thread. Ignored by the other
+        engines.
     devices:
         Device count for the multigpu fleet engine. ``0`` (the
         default) means the full testbed — four T10s, the paper's

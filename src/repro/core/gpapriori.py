@@ -31,7 +31,7 @@ from ..trie.trie import CandidateTrie
 from .config import GPAprioriConfig
 from .itemset import MiningResult, RunMetrics
 from .plans import make_plan
-from .support import make_engine
+from .support import make_engine, resolve_workers
 
 __all__ = ["gpapriori_mine"]
 
@@ -96,8 +96,6 @@ def gpapriori_mine(
         n_items=db.n_items,
     )
     if config.engine == "parallel":
-        from .parallel import resolve_workers
-
         run_attrs["workers"] = resolve_workers(config.workers)
     if config.engine == "multigpu":
         from .fleet import resolve_devices

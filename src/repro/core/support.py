@@ -1,9 +1,5 @@
 """Support-counting engines: vectorized (NumPy) and simulated (gpusim).
 
-A third engine, :class:`~repro.core.parallel.ParallelEngine`, lives in
-:mod:`repro.core.parallel` and fans the vectorized arithmetic out over
-a pool of worker processes reading the bitsets from shared memory.
-
 All engines expose the same three operations the mining driver needs:
 
 * :meth:`SupportEngine.count_complete` — complete-intersection counting
@@ -13,15 +9,19 @@ All engines expose the same three operations the mining driver needs:
 * modeled-cost accounting into a :class:`~repro.core.itemset.RunMetrics`.
 
 The vectorized engine computes the same arithmetic with whole-array
-NumPy ops and is the production path. The simulated engine executes
-the genuine kernels thread-by-thread on :mod:`repro.gpusim` — slow, but
-it is the ground truth for kernel correctness and the source of access
-traces. Both produce *identical supports and identical modeled costs*
-for the same run, which the test suite asserts.
+NumPy ops and is the production path; ``engine="parallel"`` runs its
+tiles on threads sharing the bitset table (:class:`TileThreads`). The
+simulated engine executes the genuine kernels thread-by-thread on
+:mod:`repro.gpusim` — slow, but it is the ground truth for kernel
+correctness and the source of access traces. All produce *identical
+supports and identical modeled costs* for the same run, which the test
+suite asserts.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Optional
 
 import numpy as np
@@ -33,8 +33,10 @@ from ..bitset.hybrid import (
     hybrid_extend_rows,
     hybrid_supports,
 )
-from ..bitset.ops import popcount_words, support_many
-from ..errors import ConfigError, DeviceMemoryError, MiningError
+from ..bitset.ops import extend_words, support_many
+from ..errors import BitsetError, ConfigError, DeviceMemoryError, MiningError
+from ..faults.degrade import record_degradation
+from ..faults.injection import fault_point
 from ..gpusim.coalescing import analyze_trace
 from ..gpusim.device import TESLA_T10, DeviceProperties
 from ..gpusim.kernel import LaunchConfig, launch_kernel
@@ -51,7 +53,86 @@ from .kernels import (
     support_count_kernel,
 )
 
-__all__ = ["SupportEngine", "VectorizedEngine", "SimulatedEngine", "make_engine"]
+__all__ = ["SupportEngine", "VectorizedEngine", "SimulatedEngine", "TileThreads",
+           "make_engine", "resolve_workers"]
+
+MAX_AUTO_WORKERS = 8
+"""Auto-sized thread counts never exceed this many workers."""
+
+MIN_PARALLEL_CANDIDATES = 32
+"""Smaller generations count in the calling thread: dispatch would cost more."""
+
+
+def resolve_workers(workers: int) -> int:
+    """Translate the config's ``workers`` knob into a thread count.
+
+    ``0`` auto-sizes to the usable core count (respecting CPU affinity
+    when the platform exposes it) capped at :data:`MAX_AUTO_WORKERS`.
+    """
+    if workers > 0:
+        return workers
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux hosts
+        usable = os.cpu_count() or 1
+    return max(1, min(MAX_AUTO_WORKERS, usable))
+
+
+class TileThreads:
+    """Runs the shares of a tile loop (:func:`~repro.bitset.ops.run_tiles`)
+    on ``n_workers`` threads, the calling thread counting the first. If
+    a thread cannot start (or ``parallel.submit`` is faulted), the
+    calling thread counts every share and :attr:`broken` is set: a
+    ``pool`` -> ``in_process`` degradation."""
+
+    def __init__(self, n_workers: int, metrics: RunMetrics) -> None:
+        self.n_workers = n_workers
+        self.metrics = metrics
+        self.broken = False
+        self._executor: Optional[ThreadPoolExecutor] = None
+
+    def run(self, shares, tiles: int) -> None:
+        """Count every share: the first here, the others on the threads."""
+        self.metrics.add_counter("parallel.tiles", tiles)
+        futures = []
+        try:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    self.n_workers - 1, thread_name_prefix="repro-tiles"
+                )
+            fault_point("parallel.submit", tiles=tiles)
+            for share in shares[1:]:
+                futures.append(self._executor.submit(share))
+        except (RuntimeError, OSError) as exc:
+            self.broken = True
+            self.close()  # waits for running shares, cancels queued ones
+            futures = None
+            self.metrics.add_counter("parallel.pool_failures", 1)
+            record_degradation(
+                self.metrics.registry,
+                site="parallel.submit",
+                from_mode="pool",
+                to_mode="in_process",
+                reason=f"{type(exc).__name__}: {exc}",
+                workers=self.n_workers,
+            )
+        if futures is None:  # no other thread uses a share's buffers now
+            for share in shares:
+                share()
+            return
+        try:
+            shares[0]()
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()
+
+    def close(self) -> None:
+        """Stop the worker threads after any running tile finishes and
+        cancel queued ones (a later dispatch starts new threads)."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
 
 
 def _check_retain_indices(indices: np.ndarray, n_pending: int) -> np.ndarray:
@@ -73,6 +154,17 @@ def _check_retain_indices(indices: np.ndarray, n_pending: int) -> np.ndarray:
             f"{indices.max()}] against {n_pending} pending rows"
         )
     return indices
+
+
+def _check_extend_pairs(pairs: np.ndarray, n_base: int, n_items: int) -> None:
+    """Range-check ``(prefix_row, item_id)`` extend pairs before any
+    state changes: NumPy would wrap a negative row to the cache's end."""
+    if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= n_base:
+        raise MiningError(
+            f"extend pair references a prefix row out of range [0, {n_base})"
+        )
+    if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= n_items:
+        raise BitsetError("candidate contains item id outside the matrix")
 
 
 class SupportEngine:
@@ -271,12 +363,29 @@ class SupportEngine:
 
 
 class VectorizedEngine(SupportEngine):
-    """NumPy whole-array execution of the kernels' arithmetic."""
+    """NumPy whole-array execution of the kernels' arithmetic; with
+    ``config.engine == "parallel"``, generations of at least
+    :data:`MIN_PARALLEL_CANDIDATES` are counted on :class:`TileThreads`."""
 
     def __init__(self, config, metrics, device=TESLA_T10) -> None:
         super().__init__(config, metrics, device)
         self._prefix_rows: Optional[np.ndarray] = None  # None = use gen-1 matrix
         self._pending_rows: Optional[np.ndarray] = None
+        parallel = config.engine == "parallel"
+        self.n_workers = resolve_workers(config.workers) if parallel else 1
+        self._threads = TileThreads(self.n_workers, metrics) if self.n_workers > 1 else None
+        if parallel:
+            self.metrics.registry.set_gauge("parallel.workers", self.n_workers)
+
+    def _runner(self, n: int, sp) -> Optional[TileThreads]:
+        """The threads for an ``n``-candidate launch, or None to count
+        in the calling thread."""
+        threads = self._threads
+        if threads is None or threads.broken or n < MIN_PARALLEL_CANDIDATES:
+            threads = None
+        if self.config.engine == "parallel":
+            sp.set(workers=self.n_workers, dispatched=threads is not None)
+        return threads
 
     def count_complete(self, candidates: np.ndarray) -> np.ndarray:
         candidates = np.asarray(candidates, dtype=np.int64)
@@ -284,12 +393,13 @@ class VectorizedEngine(SupportEngine):
         if n == 0:
             return np.zeros(0, dtype=np.int64)
         with span(
-            "kernel_launch", engine="vectorized", kind="complete", k=k, candidates=n, **self.span_attrs
+            "kernel_launch", engine=self.config.engine, kind="complete", k=k, candidates=n, **self.span_attrs
         ) as sp:
+            runner = self._runner(n, sp)
             if self._hybrid is not None:
-                supports = hybrid_supports(self._hybrid, candidates)
+                supports = hybrid_supports(self._hybrid, candidates, runner)
             else:
-                supports = support_many(self.matrix, candidates)
+                supports = support_many(self.matrix, candidates, runner)
             sp.set(**self._charge_complete(n, k, candidates))
         return supports
 
@@ -301,24 +411,22 @@ class VectorizedEngine(SupportEngine):
         if n == 0:
             self._pending_rows = np.empty((0, self.n_words), dtype=np.uint32)
             return np.zeros(0, dtype=np.int64)
+        gen1 = self._prefix_rows is None
+        n_base = self.n_items if gen1 else self._prefix_rows.shape[0]
+        _check_extend_pairs(pairs, n_base, self.n_items)
         with span(
-            "kernel_launch", engine="vectorized", kind="extend", k=2, candidates=n, **self.span_attrs
+            "kernel_launch", engine=self.config.engine, kind="extend", k=2, candidates=n, **self.span_attrs
         ) as sp:
-            gen1 = self._prefix_rows is None
+            runner = self._runner(n, sp)
             if self._hybrid is not None:
                 rows, supports = hybrid_extend_rows(
-                    self._hybrid, self._prefix_rows, pairs
+                    self._hybrid, self._prefix_rows, pairs, runner
                 )
-                self._pending_rows = rows
-                sp.set(**self._charge_extend(n, pairs, gen1_base=gen1))
             else:
-                base = (
-                    self._prefix_rows if not gen1 else self.matrix.words
-                )
-                rows = base[pairs[:, 0]] & self.matrix.words[pairs[:, 1]]
-                self._pending_rows = rows
-                sp.set(**self._charge_extend(n, pairs, gen1_base=gen1))
-                supports = popcount_words(rows).sum(axis=1, dtype=np.int64)
+                base = self.matrix.words if gen1 else self._prefix_rows
+                rows, supports = extend_words(base, self.matrix.words, pairs, runner)
+            self._pending_rows = rows
+            sp.set(**self._charge_extend(n, pairs, gen1_base=gen1))
         return supports
 
     def retain(self, indices: np.ndarray) -> None:
@@ -331,6 +439,15 @@ class VectorizedEngine(SupportEngine):
         self.metrics.add_counter(
             "prefix_rows_resident_bytes", int(self._prefix_rows.nbytes)
         )
+
+    def finalize(self) -> None:
+        super().finalize()
+        self.close()
+
+    def close(self) -> None:
+        """Stop the worker threads, if any were started."""
+        if self._threads is not None:
+            self._threads.close()
 
 
 class SimulatedEngine(SupportEngine):
@@ -508,6 +625,8 @@ class SimulatedEngine(SupportEngine):
             )
             return np.zeros(0, dtype=np.int64)
         gen1 = self._prefix_buf is None
+        n_base = self.n_items if gen1 else self._prefix_buf.shape[0]
+        _check_extend_pairs(pairs, n_base, self.n_items)
         if self._hybrid is not None:
             # at generation 2 the base ids resolve through the layout
             # inside the kernel; the prefix arg is unused but must be a
@@ -649,15 +768,10 @@ def _make_base_engine(
     device: DeviceProperties = TESLA_T10,
 ) -> SupportEngine:
     """Instantiate the unsharded engine named by ``config.engine``."""
-    if config.engine == "vectorized":
+    if config.engine in ("vectorized", "parallel"):
         return VectorizedEngine(config, metrics, device)
     if config.engine == "simulated":
         return SimulatedEngine(config, metrics, device)
-    if config.engine == "parallel":
-        # imported lazily: parallel.py builds on this module
-        from .parallel import ParallelEngine
-
-        return ParallelEngine(config, metrics, device)
     raise ConfigError(f"unknown engine {config.engine!r}")
 
 

@@ -2,8 +2,8 @@
 
 Every place the system falls back to a weaker-but-safer strategy —
 ``MiningService`` re-mining under a halved, sharded memory budget after
-a device OOM, ``ParallelEngine`` abandoning a dead fork pool for the
-in-process path — funnels through :func:`record_degradation` so the
+a device OOM, the parallel engine counting in the calling thread when a
+worker thread cannot be started — funnels through :func:`record_degradation` so the
 three evidence channels always agree: a ``service.degraded.*`` metric,
 a structured ``service.degraded`` log event, and a span the flight
 recorder keeps with the query that degraded.

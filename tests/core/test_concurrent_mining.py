@@ -2,10 +2,10 @@
 
 The service mines on a worker pool, so two queries for *different*
 datasets routinely run simultaneously in one interpreter — including
-through the multiprocess parallel engine (``parallel.py``) and the
-out-of-core sharded path (``sharding.py``), both of which hold
-per-call state (worker pools, shard slabs). Each threaded result must
-be bit-identical to its single-threaded reference.
+through the threaded parallel engine and the out-of-core sharded path
+(``sharding.py``), both of which hold per-call state (tile threads,
+shard slabs). Each threaded result must be bit-identical to its
+single-threaded reference.
 """
 
 import threading

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import repro.core.support as support_mod
-from repro.bitset import BitsetMatrix
+from repro.bitset import BitsetMatrix, HybridLayout
 from repro.core.config import GPAprioriConfig
 from repro.core.itemset import RunMetrics
 from repro.core.support import SimulatedEngine, VectorizedEngine, make_engine
-from repro.errors import DeviceMemoryError, KernelLaunchError, MiningError
+from repro.errors import BitsetError, DeviceMemoryError, KernelLaunchError, MiningError
 from repro.gpusim.device import DeviceProperties
 
 
@@ -371,3 +371,43 @@ class TestRetainValidation:
         eng.count_extend(np.array([[3, 4], [4, 5]]))
         with pytest.raises(MiningError, match="1-D"):
             eng.retain(np.array([[0], [1]]))
+
+
+class TestExtendPairValidation:
+    """Bad extend pairs raise typed errors before any state changes:
+    a negative prefix row must not wrap to the end of the cache."""
+
+    def _engine(self, db, engine_name, layout):
+        matrix = BitsetMatrix.from_database(db)
+        eng = make_engine(
+            GPAprioriConfig(engine=engine_name, block_size=8, workers=2), RunMetrics()
+        )
+        if layout == "hybrid":
+            eng.setup(None, HybridLayout.from_matrix(matrix, 0.6))
+        else:
+            eng.setup(matrix)
+        return eng
+
+    @pytest.mark.parametrize("layout", ["dense", "hybrid"])
+    @pytest.mark.parametrize("engine_name", ["vectorized", "parallel", "simulated"])
+    def test_bad_pairs_raise_typed_errors(self, paper_db, engine_name, layout):
+        eng = self._engine(paper_db, engine_name, layout)
+        n_items = paper_db.n_items
+        for bad_row in (-1, n_items):
+            with pytest.raises(MiningError, match="prefix row"):
+                eng.count_extend(np.array([[bad_row, 0]]))
+        for bad_item in (-1, n_items):
+            with pytest.raises(BitsetError):
+                eng.count_extend(np.array([[0, bad_item]]))
+        eng.count_extend(np.array([[3, 4], [4, 5]]))
+        eng.retain(np.array([0, 1]))
+        eng.count_extend(np.array([[0, 5], [1, 3]]))
+        for bad_row in (-1, 2):  # only rows 0-1 are cached
+            with pytest.raises(MiningError, match="prefix row"):
+                eng.count_extend(np.array([[bad_row, 0]]))
+        # the failed calls left the pending generation intact
+        eng.retain(np.array([0, 1]))
+        assert eng.count_extend(np.array([[0, 6], [1, 2]])).tolist() == [
+            paper_db.support([3, 4, 5, 6]),
+            paper_db.support([2, 3, 4, 5]),
+        ]
